@@ -16,19 +16,18 @@ use borndist_shamir::{
     lagrange_coefficients_at_zero, FeldmanCommitment, Polynomial, ThresholdParams,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Domain tag for the message hash.
 const DST: &[u8] = b"borndist/boldyreva";
 
 /// The threshold-BLS public key `pk = ĝ^x`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TblsPublicKey(pub G2Affine);
 
 /// A share `x_i = P(i)` (one scalar — half the paper's share size,
 /// the price being static-only security).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TblsKeyShare {
     /// Server index.
     pub index: u32,
@@ -37,7 +36,7 @@ pub struct TblsKeyShare {
 }
 
 /// Verification key `vk_i = ĝ^{x_i}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TblsVerificationKey {
     /// Server index.
     pub index: u32,
@@ -46,7 +45,7 @@ pub struct TblsVerificationKey {
 }
 
 /// A partial signature `σ_i = H(M)^{x_i}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TblsPartialSignature {
     /// Producing server.
     pub index: u32,
@@ -55,7 +54,7 @@ pub struct TblsPartialSignature {
 }
 
 /// A combined signature `σ = H(M)^x ∈ G` (one element).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TblsSignature(pub G1Affine);
 
 /// Key material bundle.

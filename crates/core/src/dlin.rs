@@ -21,7 +21,6 @@ use borndist_shamir::{
     LagrangeCache, ThresholdParams, TripleBases, TripleCommitment, TripleSharing,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 pub use crate::ro::CombineError;
@@ -37,14 +36,14 @@ pub struct DlinScheme {
 }
 
 /// Public key `{(ĝ_k, ĥ_k)}_{k=1,2,3}`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DlinPublicKey {
     /// The six coordinates as an SDP-LHSPS public key.
     pub pk: SdpPublicKey,
 }
 
 /// A server's share: nine scalars `{(A_k(i), B_k(i), C_k(i))}_{k=1,2,3}`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DlinKeyShare {
     /// Server index.
     pub index: u32,
@@ -53,7 +52,7 @@ pub struct DlinKeyShare {
 }
 
 /// A server's verification key `({Û_{k,i}}, {Ẑ_{k,i}})`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DlinVerificationKey {
     /// Server index.
     pub index: u32,
@@ -62,7 +61,7 @@ pub struct DlinVerificationKey {
 }
 
 /// Partial signature `(z_i, r_i, u_i) ∈ G³`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DlinPartialSignature {
     /// Producing server.
     pub index: u32,
@@ -71,7 +70,7 @@ pub struct DlinPartialSignature {
 }
 
 /// Full signature `(z, r, u) ∈ G³`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DlinSignature {
     /// The triple.
     pub sig: SdpSignature,

@@ -6,6 +6,7 @@ use borndist_core::aggregate::AggregateScheme;
 use borndist_core::ro::{PartialSignature, ThresholdScheme};
 use borndist_core::standard::StandardScheme;
 use borndist_core::{CombineError, DlinScheme};
+use borndist_pairing::codec::Wire;
 use borndist_shamir::ThresholdParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -175,9 +176,9 @@ fn aggregate_scheme_rejects_foreign_keys() {
 }
 
 #[test]
-fn serde_roundtrip_of_all_public_artifacts() {
+fn wire_roundtrip_of_all_public_artifacts() {
     let params = ThresholdParams::new(1, 3).unwrap();
-    let scheme = ThresholdScheme::new(b"serde-all");
+    let scheme = ThresholdScheme::new(b"wire-all");
     let mut rng = StdRng::seed_from_u64(10);
     let km = scheme.dealer_keygen(params, &mut rng);
     let msg = b"serialize me";
@@ -188,8 +189,7 @@ fn serde_roundtrip_of_all_public_artifacts() {
 
     macro_rules! roundtrip {
         ($v:expr, $t:ty) => {{
-            let enc = serde_json::to_string($v).unwrap();
-            let dec: $t = serde_json::from_str(&enc).unwrap();
+            let dec = <$t>::decode_exact(&$v.encode()).unwrap();
             assert_eq!(&dec, $v);
         }};
     }
@@ -199,9 +199,8 @@ fn serde_roundtrip_of_all_public_artifacts() {
     roundtrip!(&p, PartialSignature);
     roundtrip!(&sig, borndist_core::Signature);
 
-    // Deserialized artifacts remain functional.
-    let enc = serde_json::to_string(&sig).unwrap();
-    let dec: borndist_core::Signature = serde_json::from_str(&enc).unwrap();
+    // Decoded artifacts remain functional.
+    let dec = borndist_core::Signature::decode_exact(&sig.encode()).unwrap();
     assert!(scheme.verify(&km.public_key, msg, &dec));
 }
 

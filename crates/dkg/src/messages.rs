@@ -11,12 +11,11 @@
 use borndist_pairing::codec::{CodecError, Wire};
 use borndist_pairing::G1Affine;
 use borndist_shamir::{PedersenCommitment, PedersenShare};
-use serde::{Deserialize, Serialize};
 
 /// The extra broadcast of the Appendix G (aggregate-capable) variant:
 /// a one-time LHSPS signature `(Z_{i0}, R_{i0})` on the public vector
 /// `(g, h)` under the dealer's constant-coefficient key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AggregateWitness {
     /// `Z_{i0} = g^{-a_{i10}} h^{-a_{i20}}`.
     pub z0: G1Affine,
@@ -45,7 +44,7 @@ impl Wire for AggregateWitness {
 // inline curve points; boxing it would cost an allocation per broadcast
 // and break the field's `Copy` flow through the player state machine.
 #[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum DkgMessage {
     /// Round 0 broadcast: the dealer's Pedersen commitments, one
     /// commitment vector per parallel sharing (`width` of them), plus the
@@ -267,13 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn complaint_answers_wire_roundtrip() {
         let (_, sharing) = sharing(4, 2);
         let msg = DkgMessage::ComplaintAnswers {
             answers: vec![(3, vec![sharing.share_for(3)])],
         };
-        let enc = serde_json::to_string(&msg).unwrap();
-        let dec: DkgMessage = serde_json::from_str(&enc).unwrap();
+        let dec = DkgMessage::decode_exact(&msg.encode()).unwrap();
         match dec {
             DkgMessage::ComplaintAnswers { answers } => {
                 assert_eq!(answers.len(), 1);

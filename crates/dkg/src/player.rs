@@ -38,7 +38,6 @@ use borndist_shamir::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Below this many dealers the per-dealer checks run inline: the
@@ -93,7 +92,7 @@ pub enum CheckStrategy {
 
 /// Extra parameters of the Appendix G aggregate-capable variant:
 /// public `(g, h) ∈ G²` on which each dealer proves a one-time LHSPS.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AggregateBases {
     /// Generator `g`.
     pub g: G1Affine,
@@ -892,7 +891,7 @@ pub fn dkg_players(
 /// [`borndist_net::TransportKind::Lockstep`] for the paper's idealized
 /// model, [`borndist_net::TransportKind::Channel`] with a lossy
 /// [`borndist_net::DeliveryPolicy`] for unreliable-network scenarios,
-/// and [`borndist_net::TransportKind::TcpLoopback`] for real sockets.
+/// and [`borndist_net::TransportKind::TcpReactor`] for real sockets.
 ///
 /// `behaviors` maps player ids to fault hooks; unlisted players are
 /// honest. Returns per-player outputs plus network metrics. Byte

@@ -21,11 +21,10 @@ use borndist_pairing::{
     G2Projective,
 };
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Secret key: the discrete-log representation `{(χ_k, γ_k)}` of the
 /// public `ĝ_k` with respect to `(ĝ_z, ĝ_r)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OneTimeSecretKey {
     /// Exponents `χ_k` (one per message coordinate).
     pub chi: Vec<Fr>,
@@ -35,7 +34,7 @@ pub struct OneTimeSecretKey {
 
 /// Public key: `{ĝ_k = ĝ_z^{χ_k} ĝ_r^{γ_k}}` (the generators live in the
 /// shared [`DpParams`]).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OneTimePublicKey {
     /// Committed coordinates `ĝ_k`.
     pub g_hat: Vec<G2Affine>,
@@ -54,7 +53,7 @@ pub struct PreparedOneTimePublicKey {
 }
 
 /// A (one-time, linearly homomorphic) signature `(z, r) ∈ G²`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OneTimeSignature {
     /// First component `z`.
     pub z: G1Affine,
@@ -425,13 +424,11 @@ mod tests {
     }
 
     #[test]
-    fn signature_serde_roundtrip() {
+    fn signature_wire_roundtrip() {
         let mut r = rng();
         let (_, sk, _) = setup(&mut r, 2);
         let msg = random_msg(&mut r, 2);
         let sig = sk.sign(&msg);
-        let enc = serde_json::to_string(&sig).unwrap();
-        let dec: OneTimeSignature = serde_json::from_str(&enc).unwrap();
-        assert_eq!(dec, sig);
+        assert_eq!(OneTimeSignature::decode_exact(&sig.encode()).unwrap(), sig);
     }
 }

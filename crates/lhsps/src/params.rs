@@ -7,10 +7,9 @@
 
 use borndist_pairing::{hash_to_g2, G2Affine, G2Prepared};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Double-Pairing-based scheme: `(ĝ_z, ĝ_r) ∈ Ĝ²`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DpParams {
     /// First generator `ĝ_z`.
     pub g_z: G2Affine,
@@ -62,7 +61,7 @@ impl DpParams {
 
 /// Parameters of the Simultaneous-Double-Pairing-based scheme
 /// (Appendix F): `(ĝ_z, ĝ_r, ĥ_z, ĥ_u) ∈ Ĝ⁴`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SdpParams {
     /// `ĝ_z`.
     pub g_z: G2Affine,

@@ -11,13 +11,12 @@ use crate::one_time::{OneTimePublicKey, OneTimeSecretKey, OneTimeSignature};
 use crate::params::DpParams;
 use borndist_pairing::hash_to_g1_vector;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// Domain tag for the message random oracle.
 const HASH_DST: &[u8] = b"borndist/rom-signature/H";
 
 /// A centralized signer (Appendix D.1 construction, `K = 1`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RomSigner {
     params: DpParams,
     sk: OneTimeSecretKey,
@@ -25,7 +24,7 @@ pub struct RomSigner {
 }
 
 /// The public verification side of [`RomSigner`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RomVerifier {
     params: DpParams,
     pk: OneTimePublicKey,

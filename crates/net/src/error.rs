@@ -99,7 +99,7 @@ pub enum TcpError {
         /// Peers that never completed the handshake.
         missing: Vec<PlayerId>,
     },
-    /// A length prefix exceeded [`crate::tcp::MAX_ENVELOPE_BYTES`] — the
+    /// A length prefix exceeded [`crate::MAX_ENVELOPE_BYTES`] — the
     /// pre-allocation guard against adversarial lengths.
     OversizedEnvelope {
         /// The declared length.

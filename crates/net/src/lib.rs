@@ -23,16 +23,13 @@
 //!   `mpsc` channels, with a deterministic fault-injection
 //!   [`DeliveryPolicy`] (per-link drop, duplication, reordering,
 //!   partitions, crash-restart outages, frame tampering);
-//! * [`TcpTransport`] — one player per engine over real
-//!   `std::net::TcpStream` sockets (one reader thread per peer), so a
-//!   run can span OS processes and machines;
-//!   [`TransportKind::TcpLoopback`] runs a whole player set as an
-//!   in-process mesh on `127.0.0.1` for tests;
-//! * [`ReactorTransport`] — the same real-socket mesh driven by **one
-//!   event loop and zero extra threads** per player (`poll(2)` on
-//!   Linux, adaptive readiness scan elsewhere), which is what scales to
-//!   n=512+ meshes; [`TransportKind::TcpReactor`] is its in-process
-//!   loopback driver.
+//! * [`ReactorTransport`] — one player per engine over real
+//!   `std::net::TcpStream` sockets, so a run can span OS processes and
+//!   machines, driven by **one event loop and zero extra threads** per
+//!   player (`poll(2)` on Linux, adaptive readiness scan elsewhere),
+//!   which is what scales to n=512+ meshes;
+//!   [`TransportKind::TcpReactor`] runs a whole player set as an
+//!   in-process mesh on `127.0.0.1` for tests.
 //!
 //! The in-process transports share one router, and the TCP transport
 //! meters identically (sender-side, real frame lengths, before fault
@@ -53,16 +50,17 @@ mod policy;
 pub mod reactor;
 mod ready;
 mod router;
-pub mod tcp;
 
 pub use borndist_pairing::codec::{CodecError, Wire};
 pub use channel::ChannelTransport;
 pub use error::{Error, TcpError};
 pub use frame::{decode_frame, encode_frame, WIRE_VERSION};
 pub use lockstep::LockstepTransport;
+pub use mesh::MAX_ENVELOPE_BYTES;
 pub use policy::{DeliveryPolicy, Outage, Partition, Tamper, TamperRule};
-pub use reactor::{ensure_fd_capacity, run_tcp_reactor_loopback_with, ReactorTransport};
-pub use tcp::{dial_with_backoff, TcpOptions, TcpTransport, MAX_ENVELOPE_BYTES};
+pub use reactor::{
+    ensure_fd_capacity, run_tcp_reactor_loopback_with, ReactorTransport, TcpOptions,
+};
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -384,8 +382,7 @@ impl Wire for LatencySummary {
 /// Socket-layer counters of one real-socket transport run — the
 /// operational view ([`Metrics`] is the *protocol* view and stays
 /// byte-identical across transports; these counters describe how the
-/// bytes moved and legitimately differ between the threaded and reactor
-/// transports).
+/// bytes moved).
 ///
 /// Crosses the service's client framing (the daemon `Summary` reports
 /// its signing-mesh counters), so it carries a canonical encoding.
@@ -477,15 +474,10 @@ pub enum TransportKind {
     Lockstep,
     /// [`ChannelTransport`] with the given fault policy.
     Channel(DeliveryPolicy),
-    /// An in-process mesh of [`TcpTransport`]s over real loopback
+    /// An in-process mesh of [`ReactorTransport`]s over real loopback
     /// sockets (one thread and one ephemeral `127.0.0.1` port per
     /// player) with the given fault policy — every driver and
     /// fault-injection test runs unchanged over the real socket path.
-    TcpLoopback(DeliveryPolicy),
-    /// An in-process mesh of [`ReactorTransport`]s over real loopback
-    /// sockets with the given fault policy: the same wire format and
-    /// byte-identical [`Metrics`] as [`Self::TcpLoopback`], but each
-    /// player is one event loop on one thread instead of ~n threads.
     TcpReactor(DeliveryPolicy),
 }
 
@@ -494,7 +486,7 @@ pub enum TransportKind {
 /// # Errors
 ///
 /// See [`LockstepTransport::run`] / [`ChannelTransport::run`] /
-/// [`TcpTransport::run`]; everything unifies into [`Error`].
+/// [`ReactorTransport::run`]; everything unifies into [`Error`].
 pub fn run_protocol<M: Wire + Clone, O: Send>(
     kind: &TransportKind,
     players: Vec<BoxedPlayer<M, O>>,
@@ -510,9 +502,6 @@ pub fn run_protocol<M: Wire + Clone, O: Send>(
             let mut transport = ChannelTransport::new(players, policy.clone())?;
             let outputs = transport.run(max_rounds)?;
             Ok((outputs, transport.metrics().clone()))
-        }
-        TransportKind::TcpLoopback(policy) => {
-            tcp::run_tcp_loopback(players, policy.clone(), max_rounds)
         }
         TransportKind::TcpReactor(policy) => {
             reactor::run_tcp_reactor_loopback(players, policy.clone(), max_rounds)
@@ -635,10 +624,9 @@ mod tests {
         assert_eq!(out, out2);
         assert!(metrics.same_traffic(&metrics2));
         // The real-socket mesh produces the same outputs and — merged
-        // across players — byte-identical traffic metrics (the parity
-        // gate of the TCP transport).
+        // across players — byte-identical traffic metrics.
         let (out3, metrics3) = run_protocol(
-            &TransportKind::TcpLoopback(DeliveryPolicy::reliable()),
+            &TransportKind::TcpReactor(DeliveryPolicy::reliable()),
             summers(3),
             10,
         )
@@ -646,23 +634,9 @@ mod tests {
         assert_eq!(out, out3);
         assert!(
             metrics.same_traffic(&metrics3),
-            "lockstep {:?} vs tcp {:?}",
-            metrics,
-            metrics3
-        );
-        // The event-driven reactor mesh is held to the same parity bar.
-        let (out4, metrics4) = run_protocol(
-            &TransportKind::TcpReactor(DeliveryPolicy::reliable()),
-            summers(3),
-            10,
-        )
-        .unwrap();
-        assert_eq!(out, out4);
-        assert!(
-            metrics.same_traffic(&metrics4),
             "lockstep {:?} vs reactor {:?}",
             metrics,
-            metrics4
+            metrics3
         );
     }
 

@@ -1,14 +1,14 @@
 //! Shared socket-mesh machinery: the handshake/framing envelope, the
 //! incremental (partial-read / partial-write) frame codecs, and the
-//! round engine both real-socket transports drive.
+//! round engine the real-socket transport drives.
 //!
-//! [`crate::tcp::TcpTransport`] (thread-per-peer, blocking I/O) and
-//! [`crate::reactor::ReactorTransport`] (one nonblocking event loop)
-//! differ only in *how bytes move*; everything that decides *which*
-//! frames exist — metering, fault injection, parking, barriers — lives
-//! here, once. That is the transport-parity argument: the two cannot
-//! disagree on a [`crate::Metrics`] byte because they execute the same
-//! routing code against the same [`DeliveryPolicy`] RNG streams.
+//! [`crate::reactor::ReactorTransport`] only decides *how bytes move*;
+//! everything that decides *which* frames exist — metering, fault
+//! injection, parking, barriers — lives here, the same routing code the
+//! in-process router runs against the same [`DeliveryPolicy`] RNG
+//! streams. That is the transport-parity argument: a socket run cannot
+//! disagree with [`crate::ChannelTransport`] on a [`crate::Metrics`]
+//! byte.
 
 use crate::error::{Error, TcpError};
 use crate::frame::{decode_frame, encode_frame};
@@ -141,29 +141,6 @@ pub fn frame_envelope(env: &Envelope) -> Vec<u8> {
     buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
     buf.extend_from_slice(&body);
     buf
-}
-
-/// Writes one length-prefixed envelope (blocking path).
-pub(crate) fn write_envelope<W: Write>(stream: &mut W, env: &Envelope) -> std::io::Result<()> {
-    stream.write_all(&frame_envelope(env))
-}
-
-/// Reads one length-prefixed envelope (blocking path), enforcing
-/// [`MAX_ENVELOPE_BYTES`].
-pub(crate) fn read_envelope<R: Read>(stream: &mut R) -> Result<Envelope, Error> {
-    let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_ENVELOPE_BYTES {
-        return Err(TcpError::OversizedEnvelope {
-            declared: len,
-            max: MAX_ENVELOPE_BYTES,
-        }
-        .into());
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(Envelope::decode_exact(&body)?)
 }
 
 /// What one nonblocking pull from a socket produced.
@@ -545,6 +522,39 @@ pub(crate) fn route_outgoing<M: Wire>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn envelope_roundtrip() {
+        for env in [
+            Envelope::Hello { from: 3, to: 1 },
+            Envelope::HelloAck { from: 1 },
+            Envelope::Payload {
+                round: 7,
+                broadcast: true,
+                frame: vec![1, 2, 3],
+            },
+            Envelope::EndRound { round: 9 },
+            Envelope::Finished { round: 2 },
+        ] {
+            assert_eq!(Envelope::decode_exact(&env.encode()).unwrap(), env);
+        }
+        assert!(matches!(
+            Envelope::decode_exact(&[9]),
+            Err(CodecError::InvalidTag(9))
+        ));
+        // Non-boolean broadcast flag is rejected.
+        let mut bytes = Envelope::Payload {
+            round: 0,
+            broadcast: false,
+            frame: vec![],
+        }
+        .encode();
+        bytes[5] = 2;
+        assert!(matches!(
+            Envelope::decode_exact(&bytes),
+            Err(CodecError::InvalidTag(2))
+        ));
+    }
 
     #[test]
     fn frame_reader_reassembles_byte_by_byte() {

@@ -1,34 +1,34 @@
-//! The event-driven TCP transport: **one poll loop, zero extra
+//! The real-socket TCP transport: **one poll loop, zero extra
 //! threads** per player.
 //!
-//! [`crate::tcp::TcpTransport`] spends one reader thread per peer plus
-//! an acceptor — O(n) threads per process, O(n²) across an in-process
-//! mesh, which is what capped the real-socket experiments near n=128.
-//! [`ReactorTransport`] runs the same protocol, byte-for-byte, on the
-//! caller's thread alone: every peer socket is nonblocking and owned by
-//! a reactor that waits for readiness ([`crate::ready`] — `poll(2)` on
+//! [`ReactorTransport`] runs one player of a protocol over
+//! `std::net::TcpStream` sockets, so a run can span OS processes and
+//! machines, on the caller's thread alone. A thread-per-peer design
+//! would need O(n) threads per process and O(n²) across an in-process
+//! mesh; instead every peer socket is nonblocking and owned by a
+//! reactor that waits for readiness ([`crate::ready`] — `poll(2)` on
 //! Linux, an adaptive backoff scan elsewhere), reads length-prefixed
 //! envelopes through per-peer incremental buffers
-//! ([`crate::mesh::FrameReader`], a partial-read state machine replacing
-//! the blocking `read_exact` pair), and drains per-peer write queues
-//! with partial-write tracking ([`crate::mesh::WriteQueue`]) so a large
-//! simultaneous fan-out can never deadlock on full kernel buffers: an
-//! unwritable socket just keeps its bytes queued in user space until
-//! the receiver catches up.
+//! ([`crate::mesh::FrameReader`], a partial-read state machine), and
+//! drains per-peer write queues with partial-write tracking
+//! ([`crate::mesh::WriteQueue`]) so a large simultaneous fan-out can
+//! never deadlock on full kernel buffers: an unwritable socket just
+//! keeps its bytes queued in user space until the receiver catches up.
 //!
-//! Mesh formation is the same higher-id-dials-lower-id scheme as the
-//! threaded transport, but fully interleaved in one loop: the reactor
-//! keeps accepting and handshaking inbound peers *while* its own dials
-//! and `HelloAck` waits are in flight. Because a player only ever waits
-//! on strictly lower ids (and acks depend on nothing), the wait graph
-//! is acyclic and single-threaded formation cannot deadlock.
+//! Mesh formation: the **higher** id dials the **lower** id (with
+//! retry-and-backoff, so start order does not matter), and a
+//! `Hello`/`HelloAck` handshake pins who is on each end before any
+//! protocol byte flows. All of it is interleaved in one loop: the
+//! reactor keeps accepting and handshaking inbound peers *while* its
+//! own dials and `HelloAck` waits are in flight. Because a player only
+//! ever waits on strictly lower ids (and acks depend on nothing), the
+//! wait graph is acyclic and single-threaded formation cannot deadlock.
 //!
 //! Determinism: all routing, metering, fault injection and barrier
 //! logic is the shared [`crate::mesh`] round engine — the reactor moves
 //! bytes, it never decides which frames exist. A run's merged
 //! [`Metrics`] are therefore byte-identical to the same protocol over
-//! [`crate::ChannelTransport`] or the threaded TCP transport, lossy
-//! runs included.
+//! [`crate::ChannelTransport`], lossy runs included.
 
 use crate::error::{Error, TcpError};
 use crate::mesh::{
@@ -36,7 +36,6 @@ use crate::mesh::{
 };
 use crate::policy::DeliveryPolicy;
 use crate::ready::{fd_of, Readiness, Want};
-use crate::tcp::TcpOptions;
 use crate::{BoxedPlayer, Metrics, PlayerId, RoundAction, SimError, TransportStats};
 use borndist_pairing::codec::Wire;
 use borndist_parallel::{with_parallelism, Parallelism};
@@ -44,6 +43,52 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+
+/// Tuning knobs of a TCP mesh.
+#[derive(Clone, Debug)]
+pub struct TcpOptions {
+    /// Fault injection, identical semantics to the in-process router.
+    pub policy: DeliveryPolicy,
+    /// Dial attempts per peer before giving up.
+    pub dial_attempts: u32,
+    /// Initial dial backoff (doubles per attempt).
+    pub dial_backoff: Duration,
+    /// Backoff ceiling.
+    pub dial_backoff_max: Duration,
+    /// Wall-clock cap on the whole outbound dialing phase (all peers).
+    /// An elapsed deadline surfaces as [`TcpError::DialFailed`] with an
+    /// `io::ErrorKind::TimedOut` cause — even when it elapses before the
+    /// first connect attempt (e.g. a zero timeout).
+    pub dial_timeout: Duration,
+    /// How long the acceptor waits for the full inbound mesh.
+    pub accept_timeout: Duration,
+    /// A live peer silent past this deadline is treated as crashed.
+    pub round_timeout: Duration,
+}
+
+impl Default for TcpOptions {
+    fn default() -> Self {
+        TcpOptions {
+            policy: DeliveryPolicy::reliable(),
+            dial_attempts: 40,
+            dial_backoff: Duration::from_millis(5),
+            dial_backoff_max: Duration::from_millis(500),
+            dial_timeout: Duration::from_secs(30),
+            accept_timeout: Duration::from_secs(30),
+            round_timeout: Duration::from_secs(60),
+        }
+    }
+}
+
+impl TcpOptions {
+    /// Default options with the given fault policy.
+    pub fn with_policy(policy: DeliveryPolicy) -> Self {
+        TcpOptions {
+            policy,
+            ..Self::default()
+        }
+    }
+}
 
 /// Raises the process file-descriptor limit to at least `needed`
 /// descriptors (soft limit, capped by the hard limit). Returns whether
@@ -279,8 +324,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
 
             // 2. Progress inbound handshakes. Stray, misaddressed,
             //    duplicate or malformed hellos drop the connection
-            //    without killing the mesh — same policy as the threaded
-            //    acceptor.
+            //    without killing the mesh.
             let mut i = 0;
             while i < inbound.len() {
                 let pend = &mut inbound[i];
@@ -733,8 +777,7 @@ impl<M: Wire, O> ReactorTransport<M, O> {
 /// how `TransportKind::TcpReactor` lets every existing driver and
 /// fault-injection test run over the event-driven socket path
 /// unchanged. One thread per *player* (each player's reactor is
-/// single-threaded), versus the threaded transport's ~n threads per
-/// player.
+/// single-threaded).
 pub(crate) fn run_tcp_reactor_loopback<M: Wire, O: Send>(
     players: Vec<BoxedPlayer<M, O>>,
     policy: DeliveryPolicy,
@@ -745,7 +788,7 @@ pub(crate) fn run_tcp_reactor_loopback<M: Wire, O: Send>(
 
 /// [`run_tcp_reactor_loopback`] with explicit [`TcpOptions`] — large
 /// meshes (n=512) need raised dial/accept/round timeouts, everything
-/// else uses the defaults for parity with the threaded transport.
+/// else uses the defaults.
 ///
 /// # Errors
 ///
@@ -812,8 +855,7 @@ mod tests {
         assert!(ensure_fd_capacity(64));
     }
 
-    /// Mirror of the threaded transport's disconnect-as-silence test:
-    /// player 1 finishes (and closes its sockets) at round 1 while
+    /// Player 1 finishes (and closes its sockets) at round 1 while
     /// players 2 and 3 keep exchanging frames until round 3. The
     /// survivors must read the mid-round disconnect as silence — EOF,
     /// peer gone, barriers stop waiting — and complete normally.

@@ -34,7 +34,7 @@ pub trait CurveParams: 'static + Copy + Clone + Debug + Send + Sync {
     const NAME: &'static str;
     /// Length of the compressed point encoding in bytes.
     const COMPRESSED_SIZE: usize;
-    /// Compressed encoding (used by the generic serde impls).
+    /// Compressed encoding (used by the generic `Wire` impl).
     fn affine_to_bytes(p: &Affine<Self>) -> Vec<u8>
     where
         Self: Sized;
@@ -960,18 +960,6 @@ impl G2Affine {
     }
 }
 
-impl<C: CurveParams> serde::Serialize for Affine<C> {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        serde::Serialize::serialize(&C::affine_to_bytes(self), s)
-    }
-}
-impl<'de, C: CurveParams> serde::Deserialize<'de> for Affine<C> {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let bytes: Vec<u8> = serde::Deserialize::deserialize(d)?;
-        C::affine_from_bytes(&bytes).map_err(serde::de::Error::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1197,24 +1185,11 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn compressed_encoding_roundtrips() {
         let mut r = rng();
         let p = G1Projective::random(&mut r).to_affine();
-        let json = serde_json_like_roundtrip(&p);
-        assert_eq!(json, p);
+        assert_eq!(G1Affine::from_compressed(&p.to_compressed()).unwrap(), p);
         let q = G2Projective::random(&mut r).to_affine();
-        let json2 = serde_json_like_roundtrip2(&q);
-        assert_eq!(json2, q);
-    }
-
-    // Minimal serde round-trip via bincode-like manual driver is overkill;
-    // use serde's test-friendly token stream through postcard-style Vec.
-    fn serde_json_like_roundtrip(p: &G1Affine) -> G1Affine {
-        let enc = p.to_compressed();
-        G1Affine::from_compressed(&enc).unwrap()
-    }
-    fn serde_json_like_roundtrip2(p: &G2Affine) -> G2Affine {
-        let enc = p.to_compressed();
-        G2Affine::from_compressed(&enc).unwrap()
+        assert_eq!(G2Affine::from_compressed(&q.to_compressed()).unwrap(), q);
     }
 }

@@ -158,8 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_is_canonical() {
-        // Fr serde goes through bytes; spot-check via Debug formatting too.
+    fn debug_prints_hex() {
         let a = Fr::from_u64(123456789);
         let s = format!("{:?}", a);
         assert!(s.starts_with("Fr(0x"));

@@ -11,9 +11,8 @@
 //!   protocol.
 
 use crate::{
-    read_frame, run_gateway_worker, write_frame, ClientRequest, ClientResponse, MeshTransport,
-    ServiceCoordinator, ServiceOutcome, ServicePlayer, Topology, DKG_ROUND_BUDGET,
-    SIGN_ROUND_BUDGET,
+    read_frame, run_gateway_worker, write_frame, ClientRequest, ClientResponse, ServiceCoordinator,
+    ServiceOutcome, ServicePlayer, Topology, DKG_ROUND_BUDGET, SIGN_ROUND_BUDGET,
 };
 use borndist_core::aggregate::AggregateScheme;
 use borndist_core::gateway::{AggregationGateway, GatewayConfig, VerifyRequest};
@@ -21,11 +20,13 @@ use borndist_core::ro::ThresholdScheme;
 use borndist_dkg::dkg_players;
 use borndist_net::{
     BoxedPlayer, DeliveryPolicy, LatencySummary, Metrics, PlayerId, ReactorTransport, TcpOptions,
-    TcpTransport, TransportKind, TransportStats, Wire,
+    TransportKind, TransportStats, Wire,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::hash_map::RandomState;
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, Hasher};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -79,26 +80,15 @@ fn proto(msg: impl Into<String>) -> ServiceError {
     ServiceError::Protocol(msg.into())
 }
 
-/// Connects and runs one mesh on the topology's configured socket
-/// engine. Same player, same peers, same frames — only the byte-moving
-/// machinery differs, so callers treat the result identically.
+/// Connects and runs one mesh on the [`ReactorTransport`] socket
+/// engine.
 fn run_mesh<M: Wire, O>(
-    engine: MeshTransport,
     player: BoxedPlayer<M, O>,
     listen: std::net::SocketAddr,
     peers: std::collections::BTreeMap<PlayerId, std::net::SocketAddr>,
     budget: usize,
 ) -> Result<(O, Metrics, TransportStats), borndist_net::Error> {
-    match engine {
-        MeshTransport::Threaded => {
-            TcpTransport::connect(player, listen, peers, TcpOptions::default())?
-                .run_with_stats(budget)
-        }
-        MeshTransport::Reactor => {
-            ReactorTransport::connect(player, listen, peers, TcpOptions::default())?
-                .run_with_stats(budget)
-        }
-    }
+    ReactorTransport::connect(player, listen, peers, TcpOptions::default())?.run_with_stats(budget)
 }
 
 /// One signing node, start to finish: DKG over the TCP mesh, local key
@@ -114,7 +104,6 @@ pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
     let mut players = dkg_players(&cfg, &BTreeMap::new(), top.seed);
     let me = players.remove(id as usize - 1);
     let (output, dkg_metrics, dkg_transport) = run_mesh(
-        top.transport,
         me,
         Topology::addr(top.dkg_base, id),
         Topology::peers(top.dkg_base, id, n),
@@ -127,7 +116,6 @@ pub fn run_player(top: &Topology, id: PlayerId) -> Result<usize, ServiceError> {
     // Phase 2: the signing mesh, now including the front-end at n+1.
     let player = ServicePlayer::new(scheme, &km, id, dkg_metrics, dkg_transport);
     let (outcome, _, _) = run_mesh(
-        top.transport,
         Box::new(player) as BoxedPlayer<_, ServiceOutcome>,
         Topology::addr(top.sign_base, id),
         Topology::peers(top.sign_base, id, n + 1),
@@ -171,10 +159,8 @@ pub fn run_frontend(top: &Topology, client_listener: TcpListener) -> Result<(), 
     let mesh = {
         let listen = Topology::addr(top.sign_base, n + 1);
         let peers = Topology::peers(top.sign_base, n + 1, n);
-        let engine = top.transport;
         std::thread::spawn(move || {
             run_mesh(
-                engine,
                 Box::new(coordinator) as BoxedPlayer<_, ServiceOutcome>,
                 listen,
                 peers,
@@ -331,19 +317,65 @@ pub fn run_frontend(top: &Topology, client_listener: TcpListener) -> Result<(), 
     Ok(())
 }
 
-/// Finds a block of `span` consecutive free loopback ports and returns
-/// its first port. Best-effort (the ports are released again before the
-/// children bind them), which is fine for a single-machine smoke run.
+/// Lowest port [`free_port_block`] hands out; the ports below are left
+/// to well-known services.
+const PORT_FLOOR: u16 = 10_000;
+
+/// The kernel's ephemeral port range (`ip_local_port_range`), where
+/// outgoing dials take their source ports. Hosts without the Linux
+/// `/proc` file get the IANA dynamic range, the BSD and macOS default.
+fn ephemeral_ports() -> (u16, u16) {
+    std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range")
+        .ok()
+        .and_then(|raw| {
+            let v: Vec<u16> = raw
+                .split_whitespace()
+                .map(|p| p.parse().ok())
+                .collect::<Option<_>>()?;
+            match v[..] {
+                [lo, hi] if lo <= hi => Some((lo, hi)),
+                _ => None,
+            }
+        })
+        .unwrap_or((49_152, 65_535))
+}
+
+/// The first and last port a block of `span` ports may start at: below
+/// the `ephemeral` range, or above it when the space below is too small.
+/// `None` when neither side has room.
+fn port_window(ephemeral: (u16, u16), span: u16) -> Option<(u16, u16)> {
+    let (lo, hi) = (u32::from(ephemeral.0), u32::from(ephemeral.1));
+    let (floor, span) = (u32::from(PORT_FLOOR), u32::from(span.max(1)));
+    let (first, last) = if lo >= floor + span {
+        (floor, lo - span)
+    } else {
+        (hi + 1, u32::from(u16::MAX) + 1 - span)
+    };
+    (first <= last).then_some((first as u16, last as u16))
+}
+
+/// Finds a block of `span` consecutive free loopback ports outside the
+/// kernel's ephemeral range and returns its first port. Source ports of
+/// the mesh's outgoing dials come from that range, so they can never
+/// take a port meant for a listener. Every port of the block is probed;
+/// the ports are released again before the children bind them, which is
+/// fine for a single-machine deployment.
 pub fn free_port_block(span: u16) -> Result<u16, ServiceError> {
-    for _ in 0..64 {
-        let probe = TcpListener::bind(("127.0.0.1", 0))?;
-        let base = probe.local_addr()?.port();
-        drop(probe);
-        if base > u16::MAX - span - 2 {
-            continue;
-        }
-        let held: Vec<TcpListener> = (base..base + span)
-            .map_while(|p| TcpListener::bind(("127.0.0.1", p)).ok())
+    let ephemeral = ephemeral_ports();
+    let (first, last) = port_window(ephemeral, span).ok_or_else(|| {
+        proto(format!(
+            "no room for {} ports outside the ephemeral range {}-{}",
+            span, ephemeral.0, ephemeral.1
+        ))
+    })?;
+    // A random first slot spreads back-to-back deployments over the
+    // window, away from sockets the last one left in TIME_WAIT.
+    let slots = u64::from((last - first) / span.max(1)) + 1;
+    let start = RandomState::new().build_hasher().finish();
+    for attempt in 0..64 {
+        let base = first + ((start.wrapping_add(attempt) % slots) as u16) * span;
+        let held: Vec<TcpListener> = (0..span)
+            .map_while(|i| TcpListener::bind(("127.0.0.1", base + i)).ok())
             .collect();
         if held.len() == span as usize {
             return Ok(base);
@@ -399,7 +431,6 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
         ("--dkg-base", top.dkg_base.to_string()),
         ("--sign-base", top.sign_base.to_string()),
         ("--max-in-flight", top.max_in_flight.to_string()),
-        ("--transport", top.transport.flag().to_string()),
     ];
     let spawn = |mode: &str, extra: &[(&str, String)]| -> Result<Child, ServiceError> {
         let mut cmd = Command::new(&exe);
@@ -567,11 +598,7 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
         || transport.frames_in == 0
         || transport.frames_out == 0
     {
-        return Err(proto(format!(
-            "transport counters empty: {:?} (engine {})",
-            transport,
-            top.transport.flag()
-        )));
+        return Err(proto(format!("transport counters empty: {:?}", transport)));
     }
 
     for (i, child) in players.into_iter().enumerate() {
@@ -580,8 +607,7 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
     wait_ok(frontend, "frontend")?;
 
     println!(
-        "SMOKE OK ({}): {} requests signed, {} verified by {} processes; DKG parity {} msgs / {} bytes; high water {} <= {}; sign p50/p99 {:?}/{:?}; verify p50/p99 {:?}/{:?}; sockets hw {} frames {}/{} resumptions {}",
-        top.transport.flag(),
+        "SMOKE OK: {} requests signed, {} verified by {} processes; DKG parity {} msgs / {} bytes; high water {} <= {}; sign p50/p99 {:?}/{:?}; verify p50/p99 {:?}/{:?}; sockets hw {} frames {}/{} resumptions {}",
         requests,
         verified,
         n + 1,
@@ -599,4 +625,39 @@ pub fn run_smoke(top: &Topology, requests: u64) -> Result<(), ServiceError> {
         transport.partial_read_resumptions,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn port_window_avoids_the_ephemeral_range() {
+        // Linux default: room below the range.
+        assert_eq!(port_window((32_768, 60_999), 11), Some((10_000, 32_757)));
+        // The range starts too low: the block goes above it, ending at
+        // the last port.
+        assert_eq!(port_window((10_005, 50_000), 11), Some((50_001, 65_525)));
+        assert_eq!(port_window((1_024, 65_524), 11), Some((65_525, 65_525)));
+        // The range covers everything but a gap smaller than the block.
+        assert_eq!(port_window((1_024, 65_526), 11), None);
+        assert_eq!(port_window((1_024, 65_535), 11), None);
+    }
+
+    #[test]
+    fn free_port_block_stays_outside_the_ephemeral_range() {
+        let span = 11;
+        let base = free_port_block(span).unwrap();
+        let (lo, hi) = ephemeral_ports();
+        let end = base + (span - 1);
+        assert!(base >= PORT_FLOOR);
+        assert!(
+            end < lo || base > hi,
+            "block {}-{} overlaps {}-{}",
+            base,
+            end,
+            lo,
+            hi
+        );
+    }
 }

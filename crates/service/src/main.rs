@@ -9,9 +9,9 @@
 //! borndist-service smoke    --n 4 --t 1 --requests 100 --transport reactor
 //! ```
 //!
-//! `--transport` picks the mesh socket engine for every process:
-//! `tcp` (thread-per-peer, the default) or `reactor` (one poll loop
-//! per process).
+//! Every process runs its meshes on the reactor transport (one poll
+//! loop per process). `--transport reactor` is accepted for command
+//! lines that name the engine; any other value is an error.
 //!
 //! `player` and `frontend` are the long-running deployment processes;
 //! `smoke` spawns a whole deployment (players + front-end as child
@@ -19,7 +19,7 @@
 //! metrics byte-parity with an in-process reference run.
 
 use borndist_service::daemon::{free_port_block, run_frontend, run_player, run_smoke};
-use borndist_service::{MeshTransport, Topology};
+use borndist_service::Topology;
 use borndist_shamir::ThresholdParams;
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -60,6 +60,7 @@ impl Args {
 }
 
 fn topology(args: &Args) -> Result<Topology, String> {
+    check_transport(args)?;
     let t: usize = args.get("t")?;
     let n: usize = args.get("n")?;
     let params = ThresholdParams::new(t, n).map_err(|e| format!("bad (t, n): {:?}", e))?;
@@ -72,8 +73,18 @@ fn topology(args: &Args) -> Result<Topology, String> {
         dkg_base: args.get_or("dkg-base", 0)?,
         sign_base: args.get_or("sign-base", 0)?,
         max_in_flight: args.get_or("max-in-flight", 8)?,
-        transport: args.get_or("transport", MeshTransport::Threaded)?,
     })
+}
+
+/// Rejects a `--transport` naming anything but the one socket engine.
+fn check_transport(args: &Args) -> Result<(), String> {
+    match args.0.get("transport").map(String::as_str) {
+        None | Some("reactor") => Ok(()),
+        Some(other) => Err(format!(
+            "unknown transport {:?} (the only engine is reactor)",
+            other
+        )),
+    }
 }
 
 fn run() -> Result<(), String> {
@@ -122,5 +133,23 @@ fn main() -> ExitCode {
             eprintln!("borndist-service: {}", e);
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(raw: &[&str]) -> Args {
+        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+        Args::parse(&raw).unwrap()
+    }
+
+    #[test]
+    fn transport_flag_accepts_only_reactor() {
+        assert!(check_transport(&args(&[])).is_ok());
+        assert!(check_transport(&args(&["--transport", "reactor"])).is_ok());
+        let err = check_transport(&args(&["--transport", "tcp"])).unwrap_err();
+        assert!(err.contains("\"tcp\""), "error names the value: {}", err);
     }
 }

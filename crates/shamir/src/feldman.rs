@@ -9,12 +9,10 @@
 use crate::polynomial::Polynomial;
 use borndist_pairing::codec::{CodecError, Wire};
 use borndist_pairing::{msm, Affine, CurveParams, Fr, Projective};
-use serde::{Deserialize, Serialize};
 
 /// A broadcast Feldman commitment to a sharing polynomial: one group
 /// element per coefficient.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FeldmanCommitment<C: CurveParams> {
     commitments: Vec<Affine<C>>,
 }
@@ -157,14 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn wire_roundtrip() {
         let mut r = rng();
         let poly = Polynomial::random(2, &mut r);
         let g = G2Projective::generator();
         let com = FeldmanCommitment::commit(&poly, &g);
-        let encoded = serde_json::to_string(&com).unwrap();
-        let decoded: FeldmanCommitment<borndist_pairing::G2Params> =
-            serde_json::from_str(&encoded).unwrap();
+        let decoded =
+            FeldmanCommitment::<borndist_pairing::G2Params>::decode_exact(&com.encode()).unwrap();
         assert_eq!(decoded, com);
     }
 }

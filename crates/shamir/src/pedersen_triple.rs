@@ -14,10 +14,9 @@ use crate::polynomial::Polynomial;
 use borndist_pairing::codec::{CodecError, Wire};
 use borndist_pairing::{msm, Fr, G2Affine, G2Projective};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// The four public generators `(ĝ_z, ĝ_r, ĥ_z, ĥ_u)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TripleBases {
     /// `ĝ_z`.
     pub g_z: G2Affine,
@@ -43,14 +42,14 @@ pub struct TripleSharing {
 }
 
 /// Broadcast commitments `{(V̂_ℓ, Ŵ_ℓ)}`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TripleCommitment {
     v: Vec<G2Affine>,
     w: Vec<G2Affine>,
 }
 
 /// A private share triple `(A(i), B(i), C(i))`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TripleShare {
     /// Recipient index.
     pub index: u32,

@@ -1,10 +1,10 @@
 //! Event-driven reactor release gate (the acceptance gate for the
-//! one-poll-loop-per-process transport, PR 10). Proves the reactor is
-//! the *same protocol* as the in-process transports (byte-identical
-//! metering), that it actually eliminates the thread-per-peer cost
-//! (measured thread ceiling), and that the freed threads buy capacity
-//! (a service leg sustaining 2× the previous in-flight bound). Prints
-//! a JSON record (the `BENCH_reactor.json` trajectory point).
+//! one-poll-loop-per-process transport). Proves the reactor is the
+//! *same protocol* as the in-process transports (byte-identical
+//! metering), that it avoids a thread-per-peer cost (measured thread
+//! ceiling), and that it buys capacity (a service leg sustaining 2×
+//! the daemon's in-flight bound). Prints a JSON record (the
+//! `BENCH_reactor.json` trajectory point).
 //!
 //! Legs:
 //!
@@ -14,17 +14,16 @@
 //! * **n = 64 mesh** (always) — a full 64-player DKG over real sockets
 //!   with a `/proc/self/status` thread-count watcher: the whole
 //!   64-player process must stay ≤ n + [`THREAD_SLACK`] threads (one
-//!   poll loop per player — the threaded transport would need ~2
+//!   poll loop per player — a thread-per-peer transport would need ~2
 //!   reader threads *per link*, i.e. thousands).
 //! * **n = 512 mesh** (armed on hosts with ≥ [`GATE_THREADS`] CPUs and
 //!   enough file descriptors) — the headline: 512 players, 130 816
 //!   real loopback connections, one process, ≤ 512 + slack threads.
 //! * **service 2×** (always; latency floor enforced on ≥
 //!   [`GATE_THREADS`]-CPU hosts) — the daemon's signing mesh run once
-//!   on the threaded engine at the legacy in-flight bound (8) and once
-//!   on the reactor at 2× (16): the reactor leg must actually reach
-//!   the doubled high-water mark, and its p99 must not regress past
-//!   [`LATENCY_GUARD`]× the threaded leg's.
+//!   at the daemon's in-flight bound (8) and once at 2× (16): the 2×
+//!   leg must actually reach the doubled high-water mark, and its p99
+//!   must not regress past [`LATENCY_GUARD`]× the 1× leg's.
 //!
 //! Run with: `cargo run --release --example reactor_mesh`
 
@@ -32,12 +31,12 @@ use borndist::core::ro::ThresholdScheme;
 use borndist::dkg::{dkg_players, dkg_session, standard_config};
 use borndist::net::{
     ensure_fd_capacity, run_tcp_reactor_loopback_with, BoxedPlayer, DeliveryPolicy, LatencySummary,
-    ReactorTransport, TcpOptions, TcpTransport, TransportKind, TransportStats,
+    ReactorTransport, TcpOptions, TransportKind, TransportStats,
 };
 use borndist::shamir::ThresholdParams;
 use borndist_service::daemon::free_port_block;
 use borndist_service::{
-    MeshTransport, ServiceCoordinator, ServiceOutcome, ServicePlayer, Topology, SIGN_ROUND_BUDGET,
+    ServiceCoordinator, ServiceOutcome, ServicePlayer, Topology, SIGN_ROUND_BUDGET,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -51,7 +50,7 @@ const GATE_THREADS: usize = 4;
 const THREAD_SLACK: usize = 3;
 /// The daemon's current in-flight bound (CI smoke runs with 8).
 const LEGACY_IN_FLIGHT: usize = 8;
-/// The reactor service leg must sustain twice that.
+/// The 2× service leg must sustain twice that.
 const REACTOR_IN_FLIGHT: usize = 2 * LEGACY_IN_FLIGHT;
 /// p99 regression guard for the service legs (enforced hosts only).
 const LATENCY_GUARD: f64 = 1.5;
@@ -144,12 +143,11 @@ fn reactor_dkg_leg(n: usize, t: usize, seed: u64, options: TcpOptions) -> (f64, 
     (ms, threads_hw)
 }
 
-/// One service signing-mesh leg on the chosen engine: `n` player nodes
+/// One service signing-mesh leg over the reactor: `n` player nodes
 /// plus a coordinator with a fixed request queue, bounded by
 /// `max_in_flight`. Returns (wall clock, sign-latency summary, mux
 /// high-water, coordinator socket stats).
 fn service_leg(
-    engine: MeshTransport,
     max_in_flight: usize,
     requests: usize,
 ) -> (Duration, LatencySummary, u64, TransportStats) {
@@ -180,20 +178,10 @@ fn service_leg(
         let peers = Topology::peers(sign_base, id, n as u32 + 1);
         threads.push(std::thread::spawn(move || {
             let boxed = Box::new(player) as BoxedPlayer<_, ServiceOutcome>;
-            match engine {
-                MeshTransport::Threaded => {
-                    TcpTransport::connect(boxed, listen, peers, TcpOptions::default())
-                        .expect("player connect")
-                        .run(SIGN_ROUND_BUDGET)
-                        .expect("player run");
-                }
-                MeshTransport::Reactor => {
-                    ReactorTransport::connect(boxed, listen, peers, TcpOptions::default())
-                        .expect("player connect")
-                        .run(SIGN_ROUND_BUDGET)
-                        .expect("player run");
-                }
-            }
+            ReactorTransport::connect(boxed, listen, peers, TcpOptions::default())
+                .expect("player connect")
+                .run(SIGN_ROUND_BUDGET)
+                .expect("player run");
         }));
     }
     let coordinator = Box::new(ServiceCoordinator::with_requests(
@@ -204,20 +192,11 @@ fn service_leg(
     )) as BoxedPlayer<_, ServiceOutcome>;
     let listen = Topology::addr(sign_base, n as u32 + 1);
     let peers = Topology::peers(sign_base, n as u32 + 1, n as u32);
-    let (outcome, _, stats) = match engine {
-        MeshTransport::Threaded => {
-            TcpTransport::connect(coordinator, listen, peers, TcpOptions::default())
-                .expect("frontend connect")
-                .run_with_stats(SIGN_ROUND_BUDGET)
-                .expect("frontend run")
-        }
-        MeshTransport::Reactor => {
-            ReactorTransport::connect(coordinator, listen, peers, TcpOptions::default())
-                .expect("frontend connect")
-                .run_with_stats(SIGN_ROUND_BUDGET)
-                .expect("frontend run")
-        }
-    };
+    let (outcome, _, stats) =
+        ReactorTransport::connect(coordinator, listen, peers, TcpOptions::default())
+            .expect("frontend connect")
+            .run_with_stats(SIGN_ROUND_BUDGET)
+            .expect("frontend run");
     for t in threads {
         t.join().expect("player thread");
     }
@@ -231,9 +210,9 @@ fn service_leg(
     for (id, msg) in &queue {
         assert!(
             scheme.verify(&km.public_key, msg, &outcome.mux.signatures[id]),
-            "request {} signature invalid on {:?}",
+            "request {} signature invalid at in-flight {}",
             id,
-            engine
+            max_in_flight
         );
     }
     assert!(
@@ -333,12 +312,10 @@ fn main() {
         n512_threads = threads;
     }
 
-    // --- leg D: service legs, threaded @ 8 vs reactor @ 16 ---
+    // --- leg D: service legs, reactor @ 8 vs reactor @ 16 ---
     let requests = 48usize;
-    let (legacy_elapsed, legacy_lat, legacy_hw, _) =
-        service_leg(MeshTransport::Threaded, LEGACY_IN_FLIGHT, requests);
-    let (rx_elapsed, rx_lat, rx_hw, rx_stats) =
-        service_leg(MeshTransport::Reactor, REACTOR_IN_FLIGHT, requests);
+    let (legacy_elapsed, legacy_lat, legacy_hw, _) = service_leg(LEGACY_IN_FLIGHT, requests);
+    let (rx_elapsed, rx_lat, rx_hw, rx_stats) = service_leg(REACTOR_IN_FLIGHT, requests);
     assert!(
         rx_hw as usize >= REACTOR_IN_FLIGHT,
         "reactor leg must sustain {} concurrent sessions (reached {})",
@@ -354,7 +331,7 @@ fn main() {
     if enforced {
         assert!(
             p99_ratio <= LATENCY_GUARD,
-            "acceptance: reactor p99 at 2x in-flight must stay within {}x of threaded at 1x (got {:.2}x)",
+            "acceptance: reactor p99 at 2x in-flight must stay within {}x of 1x (got {:.2}x)",
             LATENCY_GUARD,
             p99_ratio
         );
@@ -382,7 +359,7 @@ fn main() {
         println!("   dkg_n512_reactor          skipped: {}", n512_reason);
     }
     println!(
-        "   service_threaded_x8       {:>8.1}ms  hw {}  p50 {:?}  p99 {:?}",
+        "   service_reactor_x8        {:>8.1}ms  hw {}  p50 {:?}  p99 {:?}",
         legacy_elapsed.as_secs_f64() * 1e3,
         legacy_hw,
         legacy_lat.p50,
@@ -415,7 +392,7 @@ fn main() {
         ("dkg_n64_reactor", 64, n64_ms, n64_threads, false),
         ("dkg_n512_reactor", 512, n512_ms, n512_threads, !n512_armed),
         (
-            "service_threaded_x8",
+            "service_reactor_x8",
             LEGACY_IN_FLIGHT,
             legacy_elapsed.as_secs_f64() * 1e3,
             legacy_hw as usize,
